@@ -75,11 +75,16 @@ fn main() {
 
     // Sequential baseline: the allocation-free batch path on one core.
     let mut baseline = pipeline.clone();
+    let mut ctx = baseline.new_shard_ctx();
     let mut out = DecisionBuf::default();
     let base = bench.run("engine/sequential_batch_4k_packets", n, || {
         out.clear();
         baseline
-            .process_batch(packets.iter().map(|p| (p.as_slice(), 0u64)), &mut out)
+            .process_batch_shared(
+                &mut ctx,
+                packets.iter().map(|p| (p.as_slice(), 0u64)),
+                &mut out,
+            )
             .unwrap();
         out.len()
     });

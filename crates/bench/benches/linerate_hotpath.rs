@@ -133,11 +133,16 @@ fn main() {
     // Sequential baseline: the allocation-free batch path on one core,
     // no cache — the bar the accelerated engine has to clear.
     let mut baseline = pipeline.clone();
+    let mut ctx = baseline.new_shard_ctx();
     let mut out = DecisionBuf::default();
     let base = bench.run("hotpath/sequential_batch_4k_packets", n, || {
         out.clear();
         baseline
-            .process_batch(uniform.iter().map(|p| (p.as_slice(), 0u64)), &mut out)
+            .process_batch_shared(
+                &mut ctx,
+                uniform.iter().map(|p| (p.as_slice(), 0u64)),
+                &mut out,
+            )
             .unwrap();
         out.len()
     });

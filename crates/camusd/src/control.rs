@@ -176,25 +176,10 @@ impl ControlState {
         rx: &mpsc::Receiver<Ctl>,
     ) -> bool {
         match req {
-            BusRequest::Ping => {
-                let _ = reply.send(BusReply::Pong);
-                false
-            }
-            BusRequest::Snapshot => {
-                let _ = reply.send(self.snapshot_reply());
-                false
-            }
-            BusRequest::Stats => {
-                let _ = reply.send(BusReply::Stats(self.stats_frame()));
-                false
-            }
-            BusRequest::Shutdown => {
-                let _ = reply.send(BusReply::ShuttingDown);
-                true
-            }
             BusRequest::Subscribe { .. } | BusRequest::Unsubscribe { .. } => {
                 self.coalesce_and_apply(req, reply, rx)
             }
+            _ => self.handle_simple(req, reply),
         }
     }
 
@@ -252,8 +237,8 @@ impl ControlState {
         shutdown
     }
 
-    /// Non-mutation subset of `handle_rpc`, usable mid-drain. Returns
-    /// `true` for `Shutdown`.
+    /// Answers a non-mutation RPC, from `handle_rpc` or mid-drain.
+    /// Returns `true` for `Shutdown`.
     fn handle_simple(&mut self, req: BusRequest, reply: mpsc::Sender<BusReply>) -> bool {
         match req {
             BusRequest::Ping => {
@@ -436,7 +421,7 @@ impl ControlState {
     /// Rebuilds the compiler session from the committed rule set. The
     /// repo's churn differential proves a fresh session's emission is
     /// bit-identical to the incremental path, so the rebuilt session's
-    /// view matches the engine's installed template and future deltas
+    /// view matches the engine's installed program and future deltas
     /// splice cleanly.
     fn resync(&mut self) {
         self.session = None;

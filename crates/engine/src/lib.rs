@@ -36,11 +36,15 @@
 //! delta channel (§3's "highly dynamic queries"): feed an
 //! [`UpdateReport`](camus_core::UpdateReport) to
 //! [`Engine::apply_update`] and the next-generation tables are built
-//! *off* the packet hot path — spliced into a master template via
-//! [`camus_core::apply_delta`] (or swapped wholesale on a
+//! *off* the packet hot path — spliced into a clone of the live
+//! program via [`camus_core::apply_delta`] (or swapped wholesale on a
 //! `full_rebuild`), then published RCU-style behind an atomic
-//! generation counter. Workers poll the counter once per batch and
-//! adopt the published pipeline at the batch boundary, carrying their
+//! generation counter. Every publication is one stage → commit step
+//! ([`Engine::apply_update`] runs both; a fabric epoch calls
+//! [`Engine::prepare_pipeline`] and [`Engine::commit_staged`]), and the
+//! engine's only copy of its program is the published `Arc`. Workers
+//! poll the counter once per batch and adopt the published pipeline at
+//! the batch boundary, carrying their
 //! `@query_counter` register state and execution counters over — so
 //! every packet is processed by exactly one complete rule-set
 //! generation, none is dropped during an update, and stateful windows
@@ -53,9 +57,9 @@
 //!
 //! The paper's feasibility argument (§4) is that compiled subscription
 //! tables *fit in switch memory*; this engine makes that a runtime
-//! invariant rather than an offline observation. Every
-//! [`Engine::apply_update`] / [`Engine::install_pipeline`] is charged
-//! against the configured [`AsicModel`] (the same
+//! invariant rather than an offline observation. Every staged
+//! candidate ([`Engine::apply_update`], [`Engine::prepare_pipeline`]) is
+//! charged against the configured [`AsicModel`] (the same
 //! [`place_chain`](camus_pipeline::place_chain) arithmetic the offline
 //! compiler reports) *before* publication: an over-committing update
 //! is rejected with a typed [`EngineFault::Admission`] and **zero
@@ -122,7 +126,7 @@ pub const TELEMETRY_SAMPLE_SHIFT: u32 = 6;
 /// The RCU-style publication slot shared between the control plane
 /// and the workers: a monotonically increasing generation counter and
 /// the pipeline it corresponds to. The `Release` bump in
-/// [`Engine::publish`] paired with the `Acquire` load at each batch
+/// `Engine::commit` paired with the `Acquire` load at each batch
 /// boundary guarantees a worker that observes generation `g` also
 /// observes the pipeline published with it; batches submitted after
 /// `apply_update` returns are always processed at generation ≥ `g`.
@@ -145,10 +149,11 @@ impl Published {
 pub struct UpdateStats {
     /// Pipeline generations published (delta updates + full swaps).
     pub published: u64,
-    /// Updates applied by splicing table deltas into the template.
+    /// Updates applied by splicing table deltas into a clone of the
+    /// live program.
     pub delta_updates: u64,
     /// Updates applied as full pipeline swaps (the
-    /// `NeedsFullRecompile` fallback, or [`Engine::install_pipeline`]).
+    /// `NeedsFullRecompile` fallback, or [`Engine::commit_staged`]).
     pub full_swaps: u64,
     /// Generation adoptions performed by workers at batch boundaries
     /// (summed across workers).
@@ -265,10 +270,12 @@ pub struct EngineConfig {
     /// function keys on (e.g. `"add_order.stock"`). A cache hit skips
     /// the whole match chain; every published generation invalidates
     /// all caches at the adoption boundary, so cached decisions are
-    /// always from the live rule set. Silently disabled when the field
-    /// is unknown or the installed program is not provably cacheable
-    /// (stateful bindings, register ops, non-parser-sourced keys — see
-    /// [`Pipeline::cacheable_on`]). `None` (default) = off.
+    /// always from the live rule set. Decided anew for every program
+    /// the engine starts on or stages: one that is not provably
+    /// cacheable (stateful bindings, register ops, non-parser-sourced
+    /// keys — see [`Pipeline::cacheable_on`]) or lacks the field runs
+    /// uncached, and a later cacheable one re-arms the workers. `None`
+    /// (default) = off.
     pub decision_cache: Option<String>,
 }
 
@@ -537,12 +544,13 @@ pub struct Engine {
     shard: ShardFn,
     cfg: EngineConfig,
     next_seq: u64,
-    /// Master copy the control plane mutates off the hot path; every
-    /// publish clones it into the shared slot.
-    template: Pipeline,
-    /// A candidate prepared (admission-checked) but not yet published:
-    /// the fabric's two-phase epoch holds the new program here across
-    /// every leaf before committing any of them.
+    /// The live program: the same `Arc` that sits in the published
+    /// slot. Updates clone it into a candidate off the hot path; it is
+    /// never mutated in place.
+    program: Arc<Pipeline>,
+    /// A candidate normalised and admission-checked but not yet
+    /// published: the fabric's two-phase epoch holds the new program
+    /// here across every leaf before committing any of them.
     staged: Option<Pipeline>,
     published: Arc<Published>,
     delta_updates: u64,
@@ -764,34 +772,20 @@ fn worker_loop(
 }
 
 impl Engine {
-    /// Spawns the worker threads, each owning a clone of `pipeline`
-    /// (tables prepared once up front, counters zeroed). Register
-    /// *contents* are cloned as-is, so start from a freshly compiled
-    /// pipeline for reproducible runs. The seed pipeline is trusted —
-    /// admission control applies to *updates* ([`Engine::apply_update`],
-    /// [`Engine::install_pipeline`]), where rejecting late would leave
+    /// Spawns the worker threads. They share one copy of `pipeline`,
+    /// normalised like a staged candidate, behind an `Arc`; each keeps
+    /// its mutable state in its own [`ShardCtx`]. Register *contents*
+    /// are copied as-is, so start from a freshly compiled pipeline for
+    /// reproducible runs. The seed pipeline is trusted — admission
+    /// control applies to staged candidates ([`Engine::apply_update`],
+    /// [`Engine::prepare_pipeline`]), where rejecting late would leave
     /// a live engine half-updated.
     pub fn start(pipeline: &Pipeline, cfg: &EngineConfig, shard: ShardFn) -> Engine {
         let n = cfg.workers.max(1);
-        let mut template = pipeline.clone();
-        template.prepare();
-        template.exec.stats.reset();
-        // Telemetry is per-worker (attached in `spawn_worker`); the
-        // template and the published slot never carry a record, so a
-        // seed pipeline's own telemetry doesn't leak into workers.
-        template.set_telemetry(None);
-        // Arm the decision cache on the template when configured and
-        // provably sound for this program; workers clone the (empty)
-        // armed cache into their ShardCtx. Unknown field or an
-        // uncacheable program quietly runs without one.
-        if let Some(name) = &cfg.decision_cache {
-            if let Some(field) = template.layout.get(name) {
-                let _ = template.enable_decision_cache(field, DEFAULT_CACHE_SHIFT);
-            }
-        }
+        let program = Arc::new(normalise(pipeline.clone(), cfg));
         let published = Arc::new(Published {
             generation: AtomicU64::new(0),
-            slot: Mutex::new(Arc::new(template.clone())),
+            slot: Mutex::new(Arc::clone(&program)),
         });
         let mut engine = Engine {
             workers: Vec::with_capacity(n),
@@ -803,7 +797,7 @@ impl Engine {
                 ..cfg.clone()
             },
             next_seq: 0,
-            template,
+            program,
             staged: None,
             published,
             delta_updates: 0,
@@ -828,26 +822,20 @@ impl Engine {
     }
 
     /// Spawns one worker thread seeded from the currently published
-    /// pipeline, with register state carried over positionally from
-    /// the template ([`RegisterFile::carry_from`] — a respawned
-    /// worker restarts its stateful windows from the installed
-    /// program's initial state, since the dead worker's live counters
-    /// are unrecoverable).
-    ///
-    /// [`RegisterFile::carry_from`]: camus_pipeline::register::RegisterFile::carry_from
+    /// pipeline. A respawned worker restarts its stateful windows from
+    /// the installed program's initial register state, since the dead
+    /// worker's live counters are unrecoverable.
     fn spawn_worker(&self, wi: usize) -> WorkerHandle {
         let start_gen = self.published.generation.load(Ordering::Acquire);
         let program = self.published.snapshot();
         // The compiled program is shared read-only behind the Arc; the
-        // worker's mutable state (registers, counters, hoist scratch,
-        // decision cache) lives in its own ShardCtx, cloned from the
-        // prepared template — no pipeline clone per worker.
+        // worker's mutable state (registers, zeroed counters, hoist
+        // scratch, the armed-but-empty decision cache) lives in its own
+        // ShardCtx — no pipeline clone per worker.
         let mut ctx = ShardCtx {
             registers: program.registers.clone(),
             exec: program.exec.clone(),
         };
-        ctx.registers.carry_from(&self.template.registers);
-        ctx.exec.stats.reset();
         if self.cfg.telemetry {
             ctx.exec.enable_telemetry(TELEMETRY_SAMPLE_SHIFT);
         }
@@ -1097,18 +1085,20 @@ impl Engine {
     }
 
     /// Applies an incremental-compiler update to the running engine,
-    /// transactionally.
+    /// transactionally: stage, then commit.
     ///
     /// The next-generation pipeline is built off the packet hot path
-    /// on a *candidate* clone: delta reports splice their per-table
-    /// entry diffs into it, `full_rebuild` reports replace it
-    /// wholesale. The candidate is then charged against the admission
-    /// model. Only if both steps succeed does the engine commit the
-    /// candidate as its template and publish it with an atomic
-    /// generation bump — on any error ([`EngineFault::Update`] or
-    /// [`EngineFault::Admission`]) the installed state is untouched:
-    /// no generation bump, no half-spliced tables, entry-for-entry
-    /// identical before and after.
+    /// on a *candidate* clone of the live program: delta reports splice
+    /// their per-table entry diffs into it, `full_rebuild` reports
+    /// replace it wholesale. The candidate is then staged (normalised
+    /// and charged against the admission model) and, only if both
+    /// steps succeed, published with an atomic generation bump — on any
+    /// error ([`EngineFault::Update`] or [`EngineFault::Admission`])
+    /// the installed state is untouched: no generation bump, no
+    /// half-spliced tables, entry-for-entry identical before and after.
+    /// Either way nothing is left staged: an earlier
+    /// [`Engine::prepare_pipeline`] candidate can't be committed over
+    /// this update.
     ///
     /// Workers adopt a published generation at their next batch
     /// boundary, carrying register state and counters over. Packets
@@ -1121,65 +1111,35 @@ impl Engine {
             return Err(EngineFault::Killed);
         }
         let timer = SpanTimer::start();
-        let mut candidate = self.template.clone();
+        self.staged = None;
+        let mut candidate = Pipeline::clone(&self.program);
         report
             .apply_to(&mut candidate)
             .map_err(EngineFault::Update)?;
-        candidate.prepare();
-        self.admit(&candidate)?;
-        self.template = candidate;
+        self.stage(candidate)?;
+        self.commit();
         if report.full_rebuild {
             self.full_swaps += 1;
         } else {
             self.delta_updates += 1;
         }
-        self.publish();
         timer.stop_into(&mut self.spans, SpanKind::ApplyUpdate);
         Ok(())
     }
 
-    /// Full-swap fallback with an arbitrary pipeline (e.g. from a
-    /// from-scratch [`Compiler::compile`](camus_core::Compiler) when no
-    /// incremental session exists): admission-checks the candidate,
-    /// then replaces the template wholesale and publishes it. Workers
-    /// still carry their register state over positionally on adoption.
-    /// On rejection the installed state is untouched.
-    pub fn install_pipeline(&mut self, pipeline: &Pipeline) -> Result<(), EngineFault> {
-        if self.is_killed() {
-            return Err(EngineFault::Killed);
-        }
-        let timer = SpanTimer::start();
-        let mut candidate = pipeline.clone();
-        candidate.exec.stats.reset();
-        candidate.set_telemetry(None);
-        candidate.prepare();
-        self.admit(&candidate)?;
-        self.template = candidate;
-        self.full_swaps += 1;
-        self.publish();
-        timer.stop_into(&mut self.spans, SpanKind::InstallPipeline);
-        Ok(())
-    }
-
-    /// Phase one of a two-phase (fabric) epoch: admission-check a
-    /// candidate pipeline and stage it without publishing. Nothing a
-    /// worker can observe changes — no generation bump, no template
-    /// swap. A subsequent [`Engine::commit_staged`] makes the staged
-    /// program live; [`Engine::abort_staged`] discards it with zero
-    /// observable state change (rejections still count in
+    /// Phase one of a two-phase (fabric) epoch: stage a candidate
+    /// pipeline without publishing it. Nothing a worker can observe
+    /// changes — no generation bump, no program swap. A subsequent
+    /// [`Engine::commit_staged`] makes the staged program live;
+    /// [`Engine::abort_staged`] discards it with zero observable state
+    /// change (rejections still count in
     /// [`FaultStats::updates_rejected`]). Staging again replaces any
-    /// previously staged candidate.
+    /// previously staged candidate; a rejected stage leaves none.
     pub fn prepare_pipeline(&mut self, pipeline: &Pipeline) -> Result<(), EngineFault> {
         if self.is_killed() {
             return Err(EngineFault::Killed);
         }
-        let mut candidate = pipeline.clone();
-        candidate.exec.stats.reset();
-        candidate.set_telemetry(None);
-        candidate.prepare();
-        self.admit(&candidate)?;
-        self.staged = Some(candidate);
-        Ok(())
+        self.stage(pipeline.clone())
     }
 
     /// Phase two of a two-phase epoch: publish the staged candidate.
@@ -1190,12 +1150,10 @@ impl Engine {
     /// node in a fabric has staged, every commit succeeds.
     pub fn commit_staged(&mut self) -> bool {
         let timer = SpanTimer::start();
-        let Some(candidate) = self.staged.take() else {
+        if !self.commit() {
             return false;
-        };
-        self.template = candidate;
+        }
         self.full_swaps += 1;
-        self.publish();
         timer.stop_into(&mut self.spans, SpanKind::InstallPipeline);
         true
     }
@@ -1257,12 +1215,11 @@ impl Engine {
         self.staged.is_some()
     }
 
-    /// The currently installed (control-plane master) tables —
-    /// exactly what every publish clones into the worker-visible
-    /// slot. Lets a fabric driver assert bit-identical pre-state
-    /// after an aborted epoch.
+    /// The currently installed tables — the program in the
+    /// worker-visible slot. Lets a fabric driver assert bit-identical
+    /// pre-state after an aborted epoch.
     pub fn installed_tables(&self) -> &[camus_pipeline::Table] {
-        &self.template.tables
+        &self.program.tables
     }
 
     /// The published RCU generation (bumps once per successful
@@ -1271,20 +1228,40 @@ impl Engine {
         self.published.generation.load(Ordering::Acquire)
     }
 
-    /// Charges a candidate against the admission model using the same
-    /// leveling/placement arithmetic as the offline compiler
-    /// ([`place_chain`]) — the runtime enforcement of the paper's
-    /// fits-in-switch-memory claim.
-    fn admit(&mut self, candidate: &Pipeline) -> Result<(), EngineFault> {
-        let Some(model) = &self.cfg.admission else {
-            return Ok(());
-        };
-        let placement = place_chain(&candidate.tables, model);
-        if let Some(err) = placement.failure {
-            self.updates_rejected += 1;
-            return Err(EngineFault::Admission(err));
+    /// The staging step every publication goes through: normalises the
+    /// candidate, then charges it against the admission model with the
+    /// offline compiler's placement arithmetic ([`place_chain`]) — the
+    /// runtime enforcement of the paper's fits-in-switch-memory claim.
+    /// A rejected candidate leaves nothing staged.
+    fn stage(&mut self, candidate: Pipeline) -> Result<(), EngineFault> {
+        self.staged = None;
+        let candidate = normalise(candidate, &self.cfg);
+        if let Some(model) = &self.cfg.admission {
+            if let Some(err) = place_chain(&candidate.tables, model).failure {
+                self.updates_rejected += 1;
+                return Err(EngineFault::Admission(err));
+            }
         }
+        self.staged = Some(candidate);
         Ok(())
+    }
+
+    /// Publishes the staged candidate (moved, never copied) and bumps
+    /// the generation. Returns `false` when nothing is staged.
+    fn commit(&mut self) -> bool {
+        let Some(candidate) = self.staged.take() else {
+            return false;
+        };
+        self.program = Arc::new(candidate);
+        *self
+            .published
+            .slot
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()) = Arc::clone(&self.program);
+        // Release pairs with the workers' Acquire load: a worker that
+        // sees the new generation sees the new pipeline.
+        self.published.generation.fetch_add(1, Ordering::Release);
+        true
     }
 
     /// Update-plane counters accumulated so far (worker adoption
@@ -1321,19 +1298,6 @@ impl Engine {
     pub fn shutdown(mut self) -> (EngineReport, Result<(), EngineFault>) {
         let drained = self.quiesce();
         (self.finish(), drained)
-    }
-
-    fn publish(&mut self) {
-        self.template.prepare();
-        let next = Arc::new(self.template.clone());
-        *self
-            .published
-            .slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = next;
-        // Release pairs with the workers' Acquire load: a worker that
-        // sees the new generation sees the new pipeline.
-        self.published.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Flushes remaining packets, joins every worker and aggregates
@@ -1443,7 +1407,7 @@ impl Engine {
             // table names (the aggregated ExecStats vectors are indexed
             // in pipeline table order).
             snap.tables = self
-                .template
+                .program
                 .tables
                 .iter()
                 .enumerate()
@@ -1470,6 +1434,29 @@ impl Engine {
             final_registers,
         }
     }
+}
+
+/// Puts a program into the form the engine publishes: counters zeroed,
+/// telemetry stripped (it is per-worker, attached in `spawn_worker`),
+/// tables prepared, and the decision cache armed from
+/// [`EngineConfig::decision_cache`] iff the program is provably
+/// cacheable on that field. Workers follow the program's cache on
+/// adoption ([`ShardCtx::adopt`]), so arming is decided once per program.
+fn normalise(mut program: Pipeline, cfg: &EngineConfig) -> Pipeline {
+    program.exec.stats.reset();
+    program.exec.take_telemetry();
+    program.exec.disable_decision_cache();
+    match cfg
+        .decision_cache
+        .as_deref()
+        .and_then(|name| program.layout.get(name))
+    {
+        Some(field) => {
+            let _ = program.enable_decision_cache(field, DEFAULT_CACHE_SHIFT);
+        }
+        None => program.prepare(),
+    }
+    program
 }
 
 /// Convenience one-shot: start, replay `packets`, finish.
@@ -1552,6 +1539,26 @@ mod tests {
 
     fn first_byte_shard() -> ShardFn {
         Arc::new(|p: &[u8]| u64::from(p.first().copied().unwrap_or(0)))
+    }
+
+    /// `byte_pipeline` with byte 1 rerouted to port 9.
+    fn rerouted_pipeline() -> Pipeline {
+        let mut alt = byte_pipeline();
+        let entry = |port| Entry {
+            priority: 0,
+            matches: vec![MatchValue::Exact(1)],
+            ops: vec![ActionOp::Forward(PortId(port))],
+        };
+        alt.tables[0]
+            .splice_entries(&[entry(1)], &[entry(9)])
+            .unwrap();
+        alt
+    }
+
+    /// Full swap through the two-phase path: stage, then commit.
+    fn install(engine: &mut Engine, pipeline: &Pipeline) {
+        engine.prepare_pipeline(pipeline).unwrap();
+        assert!(engine.commit_staged());
     }
 
     #[test]
@@ -1645,19 +1652,11 @@ mod tests {
     }
 
     #[test]
-    fn install_pipeline_swaps_rules_at_a_quiescence_point() {
+    fn staged_pipeline_swaps_rules_at_a_quiescence_point() {
         let pipeline = byte_pipeline();
         // Alternate generation: byte 1 forwards to port 9 instead of 1,
         // spliced in via the same table API the delta path uses.
-        let mut alt = byte_pipeline();
-        let entry = |port| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(1)],
-            ops: vec![ActionOp::Forward(PortId(port))],
-        };
-        alt.tables[0]
-            .splice_entries(&[entry(1)], &[entry(9)])
-            .unwrap();
+        let alt = rerouted_pipeline();
 
         let cfg = EngineConfig {
             workers: 2,
@@ -1670,7 +1669,7 @@ mod tests {
             engine.submit(&[1], 0);
         }
         engine.quiesce().unwrap();
-        engine.install_pipeline(&alt).unwrap();
+        install(&mut engine, &alt);
         for _ in 0..40 {
             engine.submit(&[1], 0);
         }
@@ -1720,15 +1719,7 @@ mod tests {
     #[test]
     fn coalesced_generations_are_counted() {
         let pipeline = byte_pipeline();
-        let mut alt = byte_pipeline();
-        let entry = |port| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(1)],
-            ops: vec![ActionOp::Forward(PortId(port))],
-        };
-        alt.tables[0]
-            .splice_entries(&[entry(1)], &[entry(9)])
-            .unwrap();
+        let alt = rerouted_pipeline();
         let cfg = EngineConfig {
             workers: 1,
             batch_packets: 8,
@@ -1740,9 +1731,9 @@ mod tests {
         engine.quiesce().unwrap();
         // Three generations published back-to-back while the worker has
         // no traffic: it adopts only the last one.
-        engine.install_pipeline(&alt).unwrap();
-        engine.install_pipeline(&pipeline).unwrap();
-        engine.install_pipeline(&alt).unwrap();
+        install(&mut engine, &alt);
+        install(&mut engine, &pipeline);
+        install(&mut engine, &alt);
         for _ in 0..8 {
             engine.submit(&[1], 0);
         }
@@ -1803,8 +1794,8 @@ mod tests {
         for _ in 0..8 {
             engine.submit(&[1], 0);
         }
-        let before_tables = engine.template.tables.clone();
-        let err = engine.install_pipeline(&big).unwrap_err();
+        let before_tables = engine.program.tables.clone();
+        let err = engine.prepare_pipeline(&big).unwrap_err();
         let EngineFault::Admission(adm) = &err else {
             panic!("expected Admission, got {err}");
         };
@@ -1812,7 +1803,8 @@ mod tests {
         assert_eq!(adm.available, 5);
         // Zero observable state change: entry-for-entry identical
         // tables, no generation bump.
-        let after_tables: Vec<_> = engine.template.tables.clone();
+        assert!(!engine.has_staged(), "a rejected candidate is not staged");
+        let after_tables: Vec<_> = engine.program.tables.clone();
         for (a, b) in before_tables.iter().zip(after_tables.iter()) {
             let ea: Vec<_> = a.entries().collect();
             let eb: Vec<_> = b.entries().collect();
@@ -2005,15 +1997,7 @@ mod tests {
         // port 1 for byte 1, swap in a program that forwards byte 1 to
         // port 9, and check no stale hit leaks through.
         let pipeline = byte_pipeline();
-        let mut alt = byte_pipeline();
-        let entry = |port| Entry {
-            priority: 0,
-            matches: vec![MatchValue::Exact(1)],
-            ops: vec![ActionOp::Forward(PortId(port))],
-        };
-        alt.tables[0]
-            .splice_entries(&[entry(1)], &[entry(9)])
-            .unwrap();
+        let alt = rerouted_pipeline();
         let cfg = EngineConfig {
             workers: 1,
             batch_packets: 4,
@@ -2026,7 +2010,7 @@ mod tests {
             engine.submit(&[1], 0);
         }
         engine.quiesce().unwrap();
-        engine.install_pipeline(&alt).unwrap();
+        install(&mut engine, &alt);
         for _ in 0..20 {
             engine.submit(&[1], 0);
         }
@@ -2041,6 +2025,43 @@ mod tests {
         // Both generations were cached: ≥2 misses, plenty of hits.
         assert!(report.hotpath.cache_misses >= 2, "{:?}", report.hotpath);
         assert!(report.hotpath.cache_hits >= 30, "{:?}", report.hotpath);
+    }
+
+    #[test]
+    fn worker_respawned_after_a_staged_swap_still_caches() {
+        // The staged program is armed from the config, so a worker
+        // spawned from it after a death caches like the one it replaces.
+        let cfg = EngineConfig {
+            workers: 1,
+            batch_packets: 2,
+            record_decisions: true,
+            decision_cache: Some("sym".into()),
+            faults: FaultInjection {
+                // The first batch {0, 1} kills the only worker before it
+                // processes anything: every hit below is the respawn's.
+                die_seqs: Arc::new([1u64].into_iter().collect()),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut engine = Engine::start(&byte_pipeline(), &cfg, first_byte_shard());
+        install(&mut engine, &rerouted_pipeline());
+        engine.submit(&[1], 0);
+        engine.submit(&[1], 0);
+        engine.quiesce().unwrap();
+        for _ in 0..40 {
+            engine.submit(&[1], 0);
+        }
+        let report = engine.finish();
+        assert!(report.error.is_none(), "{:?}", report.error);
+        assert_eq!(report.faults.respawns, 1);
+        assert_eq!(report.quarantined, vec![0, 1]);
+        assert_eq!(report.decisions.len(), 40);
+        for d in &report.decisions {
+            assert_eq!(d.ports, vec![PortId(9)]);
+        }
+        assert_eq!(report.hotpath.cache_misses, 1, "{:?}", report.hotpath);
+        assert_eq!(report.hotpath.cache_hits, 39, "{:?}", report.hotpath);
     }
 
     #[test]
@@ -2140,10 +2161,6 @@ mod tests {
         engine.simulate_crash(); // idempotent
         assert!(!engine.is_alive());
         assert!(matches!(engine.quiesce(), Err(EngineFault::Killed)));
-        assert!(matches!(
-            engine.install_pipeline(&pipeline),
-            Err(EngineFault::Killed)
-        ));
         assert!(matches!(
             engine.prepare_pipeline(&pipeline),
             Err(EngineFault::Killed)

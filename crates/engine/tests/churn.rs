@@ -423,3 +423,76 @@ fn out_of_alphabet_update_full_swaps_through_the_engine() {
     );
     assert_eq!(ports[5], vec![1]);
 }
+
+/// One `stock == S : fwd(p)` rule per symbol of the packet universe.
+fn symbol_rules() -> Vec<Rule> {
+    let src: String = (0..8)
+        .map(|i| format!("stock == {} : fwd({})\n", stock_symbol(i), i + 1))
+        .collect();
+    parse_program(&src).unwrap()
+}
+
+/// Decision-cache arming follows the published program, not the one
+/// the engine started on: a `price` rule keys a table on a field other
+/// than the cache key, so the seed program runs uncached — and once an
+/// update removes it, the workers must cache again.
+#[test]
+fn decision_cache_rearms_when_an_update_makes_the_program_cacheable() {
+    let price = parse_program("price > 300 : fwd(50)").unwrap();
+    let all = [symbol_rules(), price.clone()].concat();
+    let mut session = IncrementalCompiler::new(itch_spec(), &CompilerOptions::raw(), &all).unwrap();
+    let initial = session.install(&all).unwrap();
+
+    let cfg = EngineConfig {
+        workers: 2,
+        batch_packets: 16,
+        decision_cache: Some("add_order.stock".into()),
+        ..Default::default()
+    };
+    let mut engine = Engine::start(&initial.pipeline, &cfg, raw_stock_shard());
+    engine
+        .apply_update(&session.update(&[], &price).unwrap())
+        .unwrap();
+    for p in random_packets(4_000, 0xCAC4E) {
+        engine.submit(&p, 0);
+    }
+    let out = engine.finish();
+    assert!(out.error.is_none(), "{:?}", out.error);
+    assert!(out.hotpath.cache_hits > 0, "{:?}", out.hotpath);
+    assert_eq!(
+        out.hotpath.cache_hits + out.hotpath.cache_misses,
+        out.stats.messages
+    );
+}
+
+/// `apply_update` is stage + commit over the live program, so a
+/// candidate staged before it can never be committed over it.
+#[test]
+fn apply_update_leaves_no_stale_candidate_staged() {
+    let symbols = symbol_rules();
+    let mut session =
+        IncrementalCompiler::new(itch_spec(), &CompilerOptions::raw(), &symbols).unwrap();
+    let initial = session.install(&symbols[..4]).unwrap();
+    let cfg = EngineConfig {
+        workers: 2,
+        batch_packets: 4,
+        record_decisions: true,
+        ..Default::default()
+    };
+    let mut engine = Engine::start(&initial.pipeline, &cfg, raw_stock_shard());
+    engine.prepare_pipeline(&initial.pipeline).unwrap();
+    assert!(engine.has_staged());
+    engine
+        .apply_update(&session.update(&symbols[4..], &[]).unwrap())
+        .unwrap();
+    assert!(!engine.has_staged());
+    assert!(!engine.commit_staged(), "stale candidate committed");
+    assert_eq!(engine.generation(), 1);
+
+    // The update, not the stale candidate, is what forwards.
+    engine.submit(&packet(&stock_symbol(7), 1, 10), 0);
+    let out = engine.finish();
+    assert_eq!(out.updates.published, 1);
+    assert_eq!(out.decisions[0].ports.len(), 1);
+    assert_eq!(out.decisions[0].ports[0].0, 8);
+}

@@ -275,7 +275,7 @@ fn capacity_bomb_is_rejected_with_zero_observable_state_change() {
     }
     engine.quiesce().unwrap();
 
-    let err = engine.install_pipeline(&bomb_pipeline).unwrap_err();
+    let err = engine.prepare_pipeline(&bomb_pipeline).unwrap_err();
     let EngineFault::Admission(adm) = &err else {
         panic!("expected Admission rejection, got {err}");
     };

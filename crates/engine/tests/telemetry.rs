@@ -76,9 +76,10 @@ fn snapshot_reports_stages_tables_and_control_spans() {
     for p in front {
         engine.submit(p, 0);
     }
-    // A full-swap install plus a drain in mid-trace, so both control
-    // spans have something to record.
-    engine.install_pipeline(&prog.pipeline).unwrap();
+    // A full-swap install (stage + commit) plus a drain in mid-trace,
+    // so both control spans have something to record.
+    engine.prepare_pipeline(&prog.pipeline).unwrap();
+    assert!(engine.commit_staged());
     engine.quiesce().unwrap();
     for p in back {
         engine.submit(p, 0);

@@ -45,8 +45,10 @@
 //! `tests/fabric_differential.rs` at the workspace root: fabric output
 //! ≡ fresh full recompile ≡ naive AST oracle, across churn sequences,
 //! leaf counts and worker counts. Survivability is proven by the
-//! chaos soak (`tests/fabric_chaos.rs`): scripted kill / stall /
-//! partition events ([`camus_workload::ChaosPlan`]) with post-failover
+//! chaos soak (`tests/fabric_chaos.rs`): seeded kill / stall /
+//! partition schedules (`camus_workload::ChaosPlan`), fired through
+//! [`Fabric::kill_leaf`], [`Fabric::stall_leaf`] and
+//! [`Fabric::partition_leaf`], with post-failover
 //! forwarding bit-identical to a fresh big-switch recompile over the
 //! surviving shards.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -58,7 +60,6 @@ use camus_core::{CompileError, UpdateReport};
 use camus_engine::{Engine, EngineConfig, EngineFault, EngineReport, ShardFn};
 use camus_pipeline::{place_chain, ForwardDecision, Pipeline, Table};
 use camus_telemetry::{render_prometheus_fabric, RobustnessCounters, TelemetrySnapshot};
-use camus_workload::{ChaosPlan, NodeEvent, NodeEventKind};
 
 /// Fabric-level control-plane faults. Every variant leaves the fabric
 /// in its pre-call state (the epoch protocol aborts all staged
@@ -240,16 +241,12 @@ pub struct FabricConfig {
     /// 0 disables probing — detection then rides only the quiesce
     /// barrier.
     pub probe_interval: u64,
-    /// Scripted node-level chaos events, applied at their global
-    /// submission seqs (empty = none). See
-    /// [`camus_workload::ChaosPlan::generate`].
-    pub chaos: ChaosPlan,
 }
 
 impl FabricConfig {
     /// A fabric with explicit per-leaf engine configs and default
     /// survivability options (probes every 64 packets, single-shot
-    /// epochs, no scripted chaos).
+    /// epochs).
     pub fn new(shard_field: &str, extract: ShardFn, leaf_engines: Vec<EngineConfig>) -> Self {
         FabricConfig {
             shard_field: shard_field.to_string(),
@@ -257,7 +254,6 @@ impl FabricConfig {
             leaf_engines,
             epoch: EpochOptions::default(),
             probe_interval: 64,
-            chaos: ChaosPlan::default(),
         }
     }
 
@@ -302,11 +298,7 @@ pub struct Fabric {
     epochs_rejected: u64,
     epoch_opts: EpochOptions,
     probe_interval: u64,
-    /// Scripted chaos events, sorted by trigger seq; `next_chaos` is
-    /// the cursor of the first not-yet-applied one.
-    chaos: Vec<NodeEvent>,
-    next_chaos: usize,
-    /// Global submission counter — drives chaos triggers and probes.
+    /// Global submission counter — drives the liveness probes.
     next_seq: u64,
     health: Vec<LeafHealth>,
     /// `false` once a scripted partition cut the spine's link to the
@@ -365,8 +357,6 @@ impl Fabric {
             .zip(&cfg.leaf_engines)
             .map(|(slice, ecfg)| Engine::start(slice, ecfg, cfg.extract.clone()))
             .collect();
-        let mut chaos = cfg.chaos.events.clone();
-        chaos.sort_by_key(|e| (e.at_seq, e.leaf));
         Ok(Fabric {
             engines,
             extract: cfg.extract.clone(),
@@ -377,8 +367,6 @@ impl Fabric {
             epochs_rejected: 0,
             epoch_opts: cfg.epoch.clone(),
             probe_interval: cfg.probe_interval,
-            chaos,
-            next_chaos: 0,
             next_seq: 0,
             health: vec![LeafHealth::Healthy; leaves],
             reachable: vec![true; leaves],
@@ -501,12 +489,11 @@ impl Fabric {
 
     /// Routes one packet to its owning leaf and submits it there (or
     /// drop-counts it, if the owner died — see [`Fabric::route`]).
-    /// Returns the owning leaf. Scripted chaos events and liveness
-    /// probes ride this path, in deterministic submission order.
+    /// Returns the owning leaf. Liveness probes ride this path, in
+    /// deterministic submission order.
     pub fn submit(&mut self, packet: &[u8], now_us: u64) -> usize {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.apply_chaos(seq);
         if self.probe_interval > 0 && seq.is_multiple_of(self.probe_interval) {
             self.probe_and_repair();
         }
@@ -541,22 +528,6 @@ impl Fabric {
             }
         }
         leaf
-    }
-
-    /// Fires every scripted chaos event due at `seq`.
-    fn apply_chaos(&mut self, seq: u64) {
-        while let Some(ev) = self.chaos.get(self.next_chaos) {
-            if ev.at_seq > seq {
-                break;
-            }
-            let (leaf, kind) = (ev.leaf % self.engines.len(), ev.kind);
-            self.next_chaos += 1;
-            match kind {
-                NodeEventKind::Kill => self.kill_leaf(leaf),
-                NodeEventKind::Stall { ms } => self.stall_leaf(leaf, ms),
-                NodeEventKind::Partition => self.partition_leaf(leaf),
-            }
-        }
     }
 
     /// One failure-detector sweep: any healthy leaf that stopped
@@ -1132,13 +1103,6 @@ mod tests {
         let master = compile(RULES);
         let mut fcfg = FabricConfig::uniform(2, "ev.sym", extractor(), cfg(1));
         fcfg.probe_interval = 4;
-        fcfg.chaos = ChaosPlan {
-            events: vec![NodeEvent {
-                at_seq: 9,
-                leaf: 0,
-                kind: NodeEventKind::Kill,
-            }],
-        };
         let mut fabric = Fabric::start(&master, &fcfg).unwrap();
         let mut big = master.clone();
         let evs: Vec<Vec<u8>> = ["AA", "BB", "CC", "DD", "EE", "FF"]
@@ -1149,7 +1113,11 @@ mod tests {
             .iter()
             .map(|e| big.process(e, 0).unwrap().ports)
             .collect();
-        for e in &evs {
+        for (seq, e) in evs.iter().enumerate() {
+            // The scripted kill fires before packet 9 is submitted.
+            if seq == 9 {
+                fabric.kill_leaf(0);
+            }
             fabric.submit(e, 0);
         }
         assert!(!fabric.degraded(), "failover committed during the run");

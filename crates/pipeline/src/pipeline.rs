@@ -154,9 +154,8 @@ impl<'a> IntoIterator for &'a DecisionBuf {
 }
 
 /// Execution counters accumulated by the executor (never consulted by
-/// it). Message-level counters also accumulate through
-/// [`Pipeline::evaluate_message`]; packet-level ones only through
-/// [`Pipeline::process`] / [`Pipeline::process_batch`].
+/// it), through [`Pipeline::process`] or
+/// [`Pipeline::process_batch_shared`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Packets processed.
@@ -260,7 +259,7 @@ impl ExecStats {
 
 /// Reusable per-pipeline execution state: scratch buffers for the
 /// allocation-free hot path, counters, and the prepared hoisting plan.
-/// Cloned with the pipeline (each engine worker gets its own).
+/// A [`ShardCtx`] carries its own copy, so each engine worker gets one.
 #[derive(Debug, Clone, Default)]
 pub struct ExecState {
     /// Execution counters.
@@ -282,7 +281,8 @@ pub struct ExecState {
     /// Optional per-shard decision cache (see [`crate::cache`]). Boxed
     /// for the same reason as `telemetry`; only ever `Some` after
     /// [`Pipeline::enable_decision_cache`] proved the program
-    /// cacheable on the key field.
+    /// cacheable on the key field. On a published program it is the
+    /// empty template that [`ShardCtx::adopt`] follows.
     cache: Option<Box<DecisionCache>>,
 }
 
@@ -301,11 +301,6 @@ impl ExecState {
     /// Detaches the telemetry record (disabling further collection).
     pub fn take_telemetry(&mut self) -> Option<Box<DataPlaneTelemetry>> {
         self.telemetry.take()
-    }
-
-    /// Re-attaches a telemetry record.
-    pub fn set_telemetry(&mut self, t: Option<Box<DataPlaneTelemetry>>) {
-        self.telemetry = t;
     }
 
     /// The decision cache, if armed.
@@ -366,10 +361,10 @@ pub struct Pipeline {
 /// borrows of the pipeline's fields: `ops` stays a borrow of `tables`
 /// (no per-table clone) while `phv` and `registers` are mutated.
 ///
-/// Returns `(dropped, hit_mask)`: whether any matching rule dropped,
-/// and a bitmask with bit `i` set when table `i` hit a non-default
+/// Returns a bitmask with bit `i` set when table `i` hit a non-default
 /// entry (tables ≥ 64 are not recorded — the decision cache, the only
-/// mask consumer, refuses such chains).
+/// mask consumer, refuses such chains). `Drop` contributes no ports and
+/// needs no bookkeeping: a message that only drops forwards nowhere.
 fn eval_tables(
     tables: &[Table],
     mcast: &MulticastTable,
@@ -378,8 +373,7 @@ fn eval_tables(
     now_us: u64,
     ports: &mut Vec<PortId>,
     stats: &mut ExecStats,
-) -> Result<(bool, u64), PipelineError> {
-    let mut dropped = false;
+) -> Result<u64, PipelineError> {
     let mut hit_mask = 0u64;
     for (ti, t) in tables.iter().enumerate() {
         let ops: &[ActionOp] = match t.lookup_prepared(phv) {
@@ -403,7 +397,7 @@ fn eval_tables(
                     let members = mcast.ports(g).ok_or(PipelineError::UnknownGroup(g.0))?;
                     ports.extend_from_slice(members);
                 }
-                ActionOp::Drop => dropped = true,
+                ActionOp::Drop => {}
                 ActionOp::Register { slot, op } => {
                     let res = match op {
                         RegOp::Increment => registers.increment(slot, now_us),
@@ -416,13 +410,13 @@ fn eval_tables(
             }
         }
     }
-    Ok((dropped, hit_mask))
+    Ok(hit_mask)
 }
 
 /// The per-packet hot path over split borrows: the immutable compiled
 /// program (`layout` … `init_fields`) on one side, the mutable
 /// per-shard execution state (`registers`, `exec`) on the other. Free
-/// function so [`Pipeline::process_batch`] (owning both) and
+/// function so [`Pipeline::process`] (owning both) and
 /// [`Pipeline::process_batch_shared`] (program behind an `Arc`, state
 /// in a [`ShardCtx`]) run byte-identical code.
 #[allow(clippy::too_many_arguments)]
@@ -535,7 +529,7 @@ fn process_packet(
                         }
                     }
                 } else {
-                    let (_dropped, mask) = eval_tables(
+                    let mask = eval_tables(
                         tables,
                         mcast,
                         registers,
@@ -548,7 +542,7 @@ fn process_packet(
                 }
             }
             None => {
-                let _ = eval_tables(
+                eval_tables(
                     tables,
                     mcast,
                     registers,
@@ -613,14 +607,16 @@ impl ShardCtx {
     /// (the RCU adoption path): registers are re-shaped to the new
     /// program's layout with windowed state carried over, the per-table
     /// counter vectors are resized, the hoisting plan is copied, and
-    /// every memoized decision is invalidated — the generation bump is
-    /// the cache's invalidation signal. Telemetry and cumulative
-    /// counters (including cache hit/miss totals) survive adoption, and
-    /// the cache's slot storage is reused, so adopting allocates only
-    /// for the register clone.
+    /// the decision cache follows the program's: invalidated when both
+    /// are armed on the same key (the generation bump is the cache's
+    /// invalidation signal), copied from the program's empty cache when
+    /// only it is armed, dropped when it is not. Cacheability was
+    /// decided when the program was armed, so no table is re-scanned
+    /// here. Telemetry and cumulative counters (including a kept
+    /// cache's hit/miss totals) survive adoption.
     ///
-    /// `program` must be prepared (the engine prepares before every
-    /// publish).
+    /// `program` must be prepared (the engine prepares every candidate
+    /// before it can be published).
     pub fn adopt(&mut self, program: &Pipeline) {
         let old = std::mem::replace(&mut self.registers, program.registers.clone());
         self.registers.carry_from(&old);
@@ -629,22 +625,12 @@ impl ShardCtx {
         self.exec.stats.table_misses.resize(n, 0);
         self.exec.hoist.clear();
         self.exec.hoist.extend_from_slice(&program.exec.hoist);
-        let keep = self
-            .exec
-            .cache
-            .as_deref()
-            .map(|c| program.cacheable_on(c.key_field()));
-        match keep {
-            Some(true) => {
-                if let Some(c) = self.exec.cache.as_deref_mut() {
-                    c.invalidate_all();
-                }
-            }
-            // The new generation is not a pure function of the key
-            // field any more (e.g. a stateful rule appeared): caching
-            // it would be unsound, so the cache is dropped.
-            Some(false) => self.exec.cache = None,
-            None => {}
+        match (
+            program.exec.cache.as_deref(),
+            self.exec.cache.as_deref_mut(),
+        ) {
+            (Some(armed), Some(c)) if armed.key_field() == c.key_field() => c.invalidate_all(),
+            (armed, _) => self.exec.cache = armed.map(|c| Box::new(c.clone())),
         }
     }
 }
@@ -798,37 +784,6 @@ impl Pipeline {
         }
     }
 
-    /// The decision cache, if armed.
-    pub fn decision_cache(&self) -> Option<&DecisionCache> {
-        self.exec.decision_cache()
-    }
-
-    /// Enables data-plane telemetry on this pipeline instance, sampling
-    /// every `2^sample_shift`-th packet for per-stage timing. The one
-    /// `Box` allocation happens here, not on the packet path. Resets
-    /// any previously collected telemetry.
-    pub fn enable_telemetry(&mut self, sample_shift: u32) {
-        self.exec.enable_telemetry(sample_shift);
-    }
-
-    /// The telemetry collected so far, if enabled.
-    pub fn telemetry(&self) -> Option<&DataPlaneTelemetry> {
-        self.exec.telemetry()
-    }
-
-    /// Detaches the telemetry record (disabling further collection).
-    /// The engine uses this to carry telemetry across RCU pipeline
-    /// swaps and to harvest it at worker exit.
-    pub fn take_telemetry(&mut self) -> Option<Box<DataPlaneTelemetry>> {
-        self.exec.take_telemetry()
-    }
-
-    /// Re-attaches a telemetry record (the inverse of
-    /// [`Pipeline::take_telemetry`]).
-    pub fn set_telemetry(&mut self, t: Option<Box<DataPlaneTelemetry>>) {
-        self.exec.set_telemetry(t);
-    }
-
     /// Builds a fresh per-worker execution context for running *this*
     /// program via [`Pipeline::process_batch_shared`]. The pipeline
     /// must be prepared (this method prepares it); the context clones
@@ -843,13 +798,26 @@ impl Pipeline {
         }
     }
 
-    /// The shared-program batch path: identical to
-    /// [`Pipeline::process_batch`], but the compiled program is only
-    /// read (`&self`, typically through an `Arc`) and all mutable state
+    /// The batch path: processes `(packet, now_us)` pairs, appending
+    /// one decision per packet to `out` (in order; the caller clears
+    /// `out`). The compiled program is only read (`&self`, typically
+    /// through an `Arc` shared by every worker) and all mutable state
     /// lives in `ctx`. Requires a prepared pipeline (`ctx` came from
     /// [`Pipeline::new_shard_ctx`], which prepares) — the engine
-    /// prepares before every publish, so workers never observe an
-    /// unprepared program.
+    /// prepares every candidate before it can be published, so workers
+    /// never observe an unprepared program.
+    ///
+    /// This is the allocation-free hot path: parsing reuses the
+    /// context's PHV pool, lookups borrow table entries instead of
+    /// cloning action lists, and `out` recycles its decisions' port
+    /// vectors. After a warmup batch has sized every buffer,
+    /// steady-state processing performs zero heap allocations per
+    /// packet. Decisions are identical to calling [`Pipeline::process`]
+    /// per packet.
+    ///
+    /// On error, decisions for the packets preceding the failing one
+    /// remain in `out` (the failing packet's slot holds a partial
+    /// decision).
     pub fn process_batch_shared<'a, I>(
         &self,
         ctx: &mut ShardCtx,
@@ -859,6 +827,8 @@ impl Pipeline {
     where
         I: IntoIterator<Item = (&'a [u8], u64)>,
     {
+        // Whole-batch latency costs two clock reads per batch (amortized
+        // over the batch); per-stage timing is sampled per packet.
         let batch_start = ctx.exec.telemetry.as_ref().map(|_| Instant::now());
         for (bytes, now_us) in packets {
             let slot = out.next_slot();
@@ -883,7 +853,9 @@ impl Pipeline {
     }
 
     /// Processes one packet arriving at `now_us`, returning its
-    /// forwarding decision.
+    /// forwarding decision. The sequential reference executor: the
+    /// pipeline owns its state (`registers`, `exec`), and every batch
+    /// and engine path is checked against it.
     pub fn process(
         &mut self,
         packet: &[u8],
@@ -891,54 +863,6 @@ impl Pipeline {
     ) -> Result<ForwardDecision, PipelineError> {
         self.prepare();
         let mut decision = ForwardDecision::default();
-        self.process_one(packet, now_us, &mut decision)?;
-        Ok(decision)
-    }
-
-    /// Processes a batch of `(packet, now_us)` pairs, appending one
-    /// decision per packet to `out` (in order; the caller clears `out`).
-    ///
-    /// This is the allocation-free hot path: parsing reuses the
-    /// pipeline's PHV pool, lookups borrow table entries instead of
-    /// cloning action lists, and `out` recycles its decisions' port
-    /// vectors. After a warmup batch has sized every buffer,
-    /// steady-state processing performs zero heap allocations per
-    /// packet. Decisions are identical to calling [`Pipeline::process`]
-    /// per packet.
-    ///
-    /// On error, decisions for the packets preceding the failing one
-    /// remain in `out` (the failing packet's slot holds a partial
-    /// decision).
-    pub fn process_batch<'a, I>(
-        &mut self,
-        packets: I,
-        out: &mut DecisionBuf,
-    ) -> Result<(), PipelineError>
-    where
-        I: IntoIterator<Item = (&'a [u8], u64)>,
-    {
-        self.prepare();
-        // Whole-batch latency costs two clock reads per batch (amortized
-        // over `batch_packets` packets); per-stage timing is sampled
-        // inside `process_one`.
-        let batch_start = self.exec.telemetry.as_ref().map(|_| Instant::now());
-        for (bytes, now_us) in packets {
-            let slot = out.next_slot();
-            self.process_one(bytes, now_us, slot)?;
-        }
-        if let (Some(start), Some(t)) = (batch_start, self.exec.telemetry.as_deref_mut()) {
-            t.record_batch(elapsed_ns(start));
-        }
-        Ok(())
-    }
-
-    /// Core per-packet path; assumes [`Pipeline::prepare`] has run.
-    fn process_one(
-        &mut self,
-        packet: &[u8],
-        now_us: u64,
-        decision: &mut ForwardDecision,
-    ) -> Result<(), PipelineError> {
         process_packet(
             &self.layout,
             &self.parser,
@@ -950,52 +874,9 @@ impl Pipeline {
             &mut self.exec,
             packet,
             now_us,
-            decision,
-        )
-    }
-
-    /// Runs the match-action chain on a single message PHV.
-    pub fn evaluate_message(
-        &mut self,
-        phv: &mut Phv,
-        now_us: u64,
-    ) -> Result<Vec<PortId>, PipelineError> {
-        self.prepare();
-        let Pipeline {
-            tables,
-            mcast,
-            registers,
-            state_bindings,
-            init_fields,
-            exec,
-            ..
-        } = self;
-        for &(f, v) in init_fields.iter() {
-            phv.set(f, v);
-        }
-        // Materialize stateful aggregates into their pseudo-fields.
-        for b in state_bindings.iter() {
-            let v = registers
-                .read(b.slot, b.agg, now_us)
-                .map_err(PipelineError::RegisterOutOfRange)?;
-            phv.set(b.dst, v);
-        }
-        let mut ports: Vec<PortId> = Vec::new();
-        let (dropped, _mask) = eval_tables(
-            tables,
-            mcast,
-            registers,
-            phv,
-            now_us,
-            &mut ports,
-            &mut exec.stats,
+            &mut decision,
         )?;
-        if dropped && ports.is_empty() {
-            return Ok(Vec::new());
-        }
-        ports.sort_unstable();
-        ports.dedup();
-        Ok(ports)
+        Ok(decision)
     }
 }
 
@@ -1203,9 +1084,10 @@ mod tests {
     #[test]
     fn malformed_packet_does_not_poison_a_batch() {
         let mut p = tiny_pipeline();
+        let mut ctx = p.new_shard_ctx();
         let packets: Vec<(&[u8], u64)> = vec![(&[1][..], 0), (&[][..], 1), (&[2][..], 2)];
         let mut out = DecisionBuf::default();
-        p.process_batch(packets, &mut out).unwrap();
+        p.process_batch_shared(&mut ctx, packets, &mut out).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out.as_slice()[0].ports, vec![PortId(1)]);
         assert_eq!(out.as_slice()[1].drop_reason, Some(ParseDrop::Underflow));
@@ -1213,18 +1095,19 @@ mod tests {
         // A recycled slot must not leak a stale drop reason.
         out.clear();
         let packets: Vec<(&[u8], u64)> = vec![(&[1][..], 3), (&[1][..], 4), (&[1][..], 5)];
-        p.process_batch(packets, &mut out).unwrap();
+        p.process_batch_shared(&mut ctx, packets, &mut out).unwrap();
         assert!(out.iter().all(|d| d.drop_reason.is_none()));
     }
 
     #[test]
     fn telemetry_records_batches_stages_and_parse_drops() {
         let mut p = tiny_pipeline();
-        p.enable_telemetry(0); // sample every packet
+        let mut ctx = p.new_shard_ctx();
+        ctx.exec.enable_telemetry(0); // sample every packet
         let packets: Vec<(&[u8], u64)> = vec![(&[1][..], 0), (&[][..], 1), (&[2][..], 2)];
         let mut out = DecisionBuf::default();
-        p.process_batch(packets, &mut out).unwrap();
-        let t = p.telemetry().unwrap();
+        p.process_batch_shared(&mut ctx, packets, &mut out).unwrap();
+        let t = ctx.exec.telemetry().unwrap();
         assert_eq!(t.batches, 1);
         assert_eq!(t.sampled_packets, 3);
         assert_eq!(t.batch_ns.count(), 1);
@@ -1235,11 +1118,9 @@ mod tests {
         // Decisions are unchanged by instrumentation.
         assert_eq!(out.as_slice()[0].ports, vec![PortId(1)]);
         assert_eq!(out.as_slice()[2].ports, vec![PortId(2), PortId(3)]);
-        // take/set round-trips the record for RCU adoption.
-        let boxed = p.take_telemetry();
-        assert!(p.telemetry().is_none());
-        p.set_telemetry(boxed);
-        assert_eq!(p.telemetry().unwrap().sampled_packets, 3);
+        // Taking the record detaches it.
+        assert_eq!(ctx.exec.take_telemetry().unwrap().sampled_packets, 3);
+        assert!(ctx.exec.telemetry().is_none());
     }
 
     /// Like `tiny_pipeline` but with no register ops, so the chain is a
@@ -1298,7 +1179,7 @@ mod tests {
         let mut p = tiny_pipeline();
         let sym = p.layout.get("sym").unwrap();
         assert!(!p.enable_decision_cache(sym, 4));
-        assert!(p.decision_cache().is_none());
+        assert!(p.exec.decision_cache().is_none());
         // Decisions still correct, just uncached.
         assert_eq!(p.process(&[1], 0).unwrap().ports, vec![PortId(1)]);
     }
@@ -1376,7 +1257,7 @@ mod tests {
         // sym==9 misses: the cache memoizes the empty decision.
         assert!(p.process(&[9], 0).unwrap().dropped());
         assert!(p.process(&[9], 1).unwrap().dropped());
-        assert_eq!(p.decision_cache().unwrap().stats.hits, 1);
+        assert_eq!(p.exec.decision_cache().unwrap().stats.hits, 1);
         // Mutate the table: sym==9 now forwards to port 7. The
         // dirty-table prepare() must invalidate the memoized miss.
         p.tables[0]
@@ -1390,7 +1271,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_batch_path_matches_owned_batch_path() {
+    fn shared_batch_path_matches_per_packet_path() {
         let mut owned = cacheable_pipeline();
         let mut shared = cacheable_pipeline();
         let sym = shared.layout.get("sym").unwrap();
@@ -1403,13 +1284,15 @@ mod tests {
             (&[2, 9][..], 2),
             (&[1][..], 3),
         ];
-        let mut out_a = DecisionBuf::default();
-        let mut out_b = DecisionBuf::default();
-        owned.process_batch(packets.clone(), &mut out_a).unwrap();
+        let expected: Vec<ForwardDecision> = packets
+            .iter()
+            .map(|&(p, t)| owned.process(p, t).unwrap())
+            .collect();
+        let mut out = DecisionBuf::default();
         shared
-            .process_batch_shared(&mut ctx, packets, &mut out_b)
+            .process_batch_shared(&mut ctx, packets, &mut out)
             .unwrap();
-        assert_eq!(out_a.as_slice(), out_b.as_slice());
+        assert_eq!(out.as_slice(), expected.as_slice());
         assert_eq!(owned.exec.stats, ctx.exec.stats);
         // The pipeline's own exec state is untouched by the shared path.
         assert_eq!(shared.exec.stats.packets, 0);
@@ -1447,7 +1330,9 @@ mod tests {
             })
             .unwrap();
         v2.tables.push(extra);
-        v2.prepare();
+        // The engine arms every candidate it stages; the context
+        // follows the program's cache.
+        assert!(v2.enable_decision_cache(sym2, 4));
         ctx.adopt(&v2);
 
         out.clear();
@@ -1458,6 +1343,15 @@ mod tests {
         let cs = ctx.exec.cache_stats().unwrap();
         assert_eq!((cs.hits, cs.misses), (1, 2));
         assert_eq!(ctx.exec.stats.table_hits.len(), 2);
+
+        // An unarmed program drops the cache; an armed one re-arms it.
+        ctx.adopt(&cacheable_pipeline());
+        assert!(ctx.exec.cache_stats().is_none());
+        ctx.adopt(&v2);
+        out.clear();
+        v2.process_batch_shared(&mut ctx, vec![(&[1][..], 3), (&[1][..], 4)], &mut out)
+            .unwrap();
+        assert_eq!(ctx.exec.cache_stats().unwrap().hits, 1);
     }
 
     #[test]

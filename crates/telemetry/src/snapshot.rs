@@ -38,7 +38,7 @@ pub struct DataPlaneTelemetry {
     /// Monotone per-shard packet sequence (drives sampling only; the
     /// authoritative packet count lives in `ExecStats`).
     seq: u64,
-    /// Batches processed through `process_batch`.
+    /// Batches processed through `process_batch_shared`.
     pub batches: u64,
     /// Packets that received per-stage timing.
     pub sampled_packets: u64,

@@ -24,7 +24,8 @@ pub enum SpanKind {
     EmitTables,
     /// `Engine::apply_update`: candidate build + admission + publish.
     ApplyUpdate,
-    /// `Engine::install_pipeline`: full-swap publication.
+    /// `Engine::commit_staged`: full-swap publication of a staged
+    /// pipeline (the name predates the stage → commit split).
     InstallPipeline,
     /// `Engine::quiesce`: draining every in-flight batch.
     Quiesce,

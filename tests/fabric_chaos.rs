@@ -21,7 +21,7 @@ use camus::engine::EngineConfig;
 use camus::fabric::{EpochOptions, Fabric, FabricConfig, LeafHealth};
 use camus::pipeline::{ForwardDecision, Pipeline};
 use camus::workload::{
-    naive_ports_for_event, raw_field_extractor, ChaosConfig, ChaosPlan, SienaConfig,
+    naive_ports_for_event, raw_field_extractor, ChaosConfig, ChaosPlan, NodeEventKind, SienaConfig,
 };
 
 fn ports_of(d: &ForwardDecision) -> Vec<u16> {
@@ -35,6 +35,20 @@ fn decision_ports(pipe: &mut Pipeline, ev: &[u8]) -> Vec<u16> {
         .iter()
         .map(|p| p.0)
         .collect()
+}
+
+/// Fires every scripted event due at global submission seq `seq`, in
+/// plan order (sorted by seq, then leaf), before that packet is
+/// submitted — targets wrap onto the fabric's leaves.
+fn fire_due(fabric: &mut Fabric, plan: &ChaosPlan, seq: u64) {
+    for ev in plan.at(seq) {
+        let leaf = ev.leaf % fabric.leaves();
+        match ev.kind {
+            NodeEventKind::Kill => fabric.kill_leaf(leaf),
+            NodeEventKind::Stall { ms } => fabric.stall_leaf(leaf, ms),
+            NodeEventKind::Partition => fabric.partition_leaf(leaf),
+        }
+    }
 }
 
 /// One seeded chaos soak on a `leaves`-wide fabric with `workers`
@@ -94,14 +108,14 @@ fn run_chaos_soak(seed: u64, leaves: usize, workers: usize) {
         retry_base_ms: 5,
         retry_cap_ms: 40,
     };
-    fcfg.chaos = chaos;
     let mut fabric = Fabric::start(&master, &fcfg).expect("fabric starts");
 
     let mut expected: Vec<Vec<u16>> = Vec::new();
     let mut primary_owner: Vec<usize> = Vec::new();
-    for ev in &events {
+    for (seq, ev) in events.iter().enumerate() {
         expected.push(naive_ports_for_event(&wl.spec, &wl.rules, ev));
         primary_owner.push(owner_of(extract(ev), leaves));
+        fire_due(&mut fabric, &chaos, seq as u64);
         fabric.submit(ev, 0);
     }
 
